@@ -1,6 +1,7 @@
 #include "daemon/daemon.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -33,16 +34,37 @@ namespace dfky::daemon {
 
 namespace {
 
-// Only referenced from DFKY_OBS blocks, hence unused in OFF builds.
-[[maybe_unused]] const char* verb_label(const std::string& verb) {
-  static constexpr const char* kVerbs[] = {
-      "ping", "status", "add-user", "revoke", "new-period", "encrypt",
-      "shutdown", "repl-status", "repl-append", "repl-snap", "repl-truncate",
-      "repl-hb", "promote", "demote", "health", "trace", "subscribe"};
-  for (const char* v : kVerbs) {
-    if (verb == v) return v;
+// Request metric labels; the set is closed, any other verb is "unknown".
+// These three are only referenced from DFKY_OBS blocks, hence unused in
+// OFF builds.
+[[maybe_unused]] constexpr std::array<const char*, 18> kVerbs = {
+    "ping", "status", "add-user", "revoke", "new-period", "encrypt",
+    "shutdown", "repl-status", "repl-append", "repl-snap", "repl-truncate",
+    "repl-hb", "promote", "demote", "health", "trace", "subscribe",
+    "unknown"};
+
+[[maybe_unused]] std::size_t verb_index(const std::string& verb) {
+  for (std::size_t i = 0; i + 1 < kVerbs.size(); ++i) {
+    if (verb == kVerbs[i]) return i;
   }
-  return "unknown";  // keep the metric label set closed
+  return kVerbs.size() - 1;
+}
+
+/// dfkyd_requests_total{verb, outcome}, resolved once per process so a
+/// request bumps its counter without the registry's lock and map lookup.
+[[maybe_unused]] obs::Counter& request_counter(std::size_t verb, bool ok) {
+  static const auto table = [] {
+    std::array<std::array<obs::Counter*, 2>, kVerbs.size()> t{};
+    for (std::size_t v = 0; v < kVerbs.size(); ++v) {
+      for (const bool o : {false, true}) {
+        t[v][o] = &obs::counter("dfkyd_requests_total",
+                                {{"verb", kVerbs[v]},
+                                 {"outcome", o ? "ok" : "err"}});
+      }
+    }
+    return t;
+  }();
+  return *table[verb][ok];
 }
 
 std::string saturation_field(const ShardRouter::Status& st) {
@@ -114,7 +136,8 @@ RequestHandler::Result RequestHandler::handle(const std::string& line) {
     res.response = tag_response(tagged.id, err_response("empty request"));
     return res;
   }
-  DFKY_OBS(trace.set_verb(verb_label(tokens[0]));
+  [[maybe_unused]] std::size_t verb = 0;  // index into kVerbs
+  DFKY_OBS(verb = verb_index(tokens[0]); trace.set_verb(kVerbs[verb]);
            obs::trace_mark(obs::SpanKind::kParse););
   if (tokens[0] == "shutdown") {
     if (tokens.size() != 1) {
@@ -132,10 +155,7 @@ RequestHandler::Result RequestHandler::handle(const std::string& line) {
       res.response = err_response(std::string("internal: ") + e.what());
     }
   }
-  DFKY_OBS(obs::counter("dfkyd_requests_total",
-                        {{"verb", verb_label(tokens[0])},
-                         {"outcome", res.response[0] == 'o' ? "ok" : "err"}})
-               .inc();
+  DFKY_OBS(request_counter(verb, res.response[0] == 'o').inc();
            trace.set_outcome(res.response[0] == 'o'););
   res.response = tag_response(tagged.id, std::move(res.response));
   return res;
@@ -447,16 +467,16 @@ std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
       if (!k) return err_response("bad shard index '" + tokens[2] + "'");
       shard = static_cast<std::size_t>(*k);
     }
-    const Bytes ct = router_.encrypt(*payload, shard);
+    const std::string ct = hex_encode(router_.encrypt(*payload, shard));
     if (hooks_.publish) {
       hooks_.publish("bcast encrypt shard=" + std::to_string(shard) +
-                         " bytes=" + std::to_string(payload->size()) + " ct=" +
-                         hex_encode(ct),
+                         " bytes=" + std::to_string(payload->size()) +
+                         " ct=" + ct,
                      0);
     }
     return ok_response({{"bytes", std::to_string(payload->size())},
                         {"shard", std::to_string(shard)},
-                        {"ct", hex_encode(ct)}});
+                        {"ct", ct}});
   }
 
   if (verb == "subscribe") {

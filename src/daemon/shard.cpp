@@ -8,6 +8,7 @@
 #include "daemon/repl.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rng/chacha_rng.h"
 #include "serial/codec.h"
 
 namespace dfky::daemon {
@@ -600,13 +601,16 @@ Bytes ShardRouter::encrypt(BytesView payload, std::size_t shard) {
   Shard& sh = *shards_[shard];
   std::shared_lock state(sh.state_mu);
   const SecurityManager& mgr = sh.store.manager();
-  Writer w;
-  {
+  // rng_mu covers only the draw of this request's seed; the seal runs on
+  // its own stream, so encrypts on one shard proceed in parallel.
+  ChaChaRng rng = [&] {
     std::lock_guard rng_lk(sh.rng_mu);
-    const ContentMessage msg =
-        seal_content(mgr.params(), mgr.public_key(), payload, *sh.rng);
-    msg.serialize(w, mgr.params().group);
-  }
+    return ChaChaRng(sh.rng->bytes(32));
+  }();
+  const ContentMessage msg =
+      seal_content(mgr.params(), mgr.public_key(), payload, rng);
+  Writer w;
+  msg.serialize(w, mgr.params().group);
   return std::move(w).take();
 }
 

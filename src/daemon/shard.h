@@ -149,7 +149,8 @@ class ShardRouter {
   HealthReport health() const;
 
   /// Seals `payload` under shard `shard`'s public key (keys issued by a
-  /// shard only open that shard's broadcasts).
+  /// shard only open that shard's broadcasts). Safe to call concurrently:
+  /// each call seals on a ChaChaRng seeded from the shard's Rng.
   Bytes encrypt(BytesView payload, std::size_t shard);
 
   /// True after any shard fail-stopped (batch sync or barrier failure).
@@ -295,7 +296,10 @@ class ShardRouter {
     StateStore store;
     std::shared_mutex state_mu;
     std::unique_ptr<Rng> rng;
-    std::mutex rng_mu;  // reads (encrypt) vs the shard's committer
+    /// Guards `rng`. Mutations draw under it inside the committer;
+    /// encrypt takes it only to draw a 32-byte seed and seals on its own
+    /// ChaChaRng, so concurrent encrypts never wait on each other's seal.
+    std::mutex rng_mu;
     /// Atomic shared_ptr so demote() can stop and drop a live queue while
     /// a straggling mutation still holds a reference (its run() then fails
     /// with "shutting down" instead of touching freed memory). Null on a

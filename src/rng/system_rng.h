@@ -1,4 +1,5 @@
-// OS entropy source (/dev/urandom), buffered.
+// OS entropy source (/dev/urandom), unbuffered: each fill() issues one
+// read() (more only if the kernel returns short).
 #pragma once
 
 #include "rng/rng.h"

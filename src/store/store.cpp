@@ -630,13 +630,6 @@ SecurityManager::AddedUser StateStore::add_user(Rng& rng) {
   return added;
 }
 
-SecurityManager::AddedUser StateStore::add_user_with_value(const Bigint& x) {
-  ensure_usable();
-  auto added = mgr_.add_user_with_value(x);
-  commit();
-  return added;
-}
-
 std::vector<SignedResetBundle> StateStore::remove_users(
     std::span<const std::uint64_t> ids, Rng& rng) {
   ensure_usable();

@@ -101,7 +101,6 @@ class StateStore {
 
   // -- mutating operations; each is durable before it returns -------------------
   SecurityManager::AddedUser add_user(Rng& rng);
-  SecurityManager::AddedUser add_user_with_value(const Bigint& x);
   std::vector<SignedResetBundle> remove_users(
       std::span<const std::uint64_t> ids, Rng& rng);
   SignedResetBundle new_period(Rng& rng);

@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <shared_mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -565,6 +567,116 @@ TEST(ShardRouter, ConcurrentMutationsLandOnTheRightShardsDurably) {
   std::size_t users = 0;
   for (const StateStore& s : recovered) users += s.manager().users().size();
   EXPECT_EQ(users, kThreads * kPerThread);
+}
+
+TEST(ShardRouter, ConcurrentEncryptsBesideMutationsStayCorrect) {
+  // Encrypts on one shard run in parallel, each on its own stream; each
+  // must still seal under the PK of the period it ran in, while add-user,
+  // revoke and new-period change that PK underneath it.
+  HandlerFixture f(/*shards=*/1, /*v=*/3);
+  ShardRouter& router = *f.router;
+  std::mutex keys_mu;
+  std::map<std::uint64_t, KeyFileData> keepers;  // never revoked, by period
+  std::vector<KeyFileData> revoked;              // in revoke order
+  const auto add_keeper = [&] {
+    KeyFileData kd = decode_key_file(router.add_user().key_file);
+    std::lock_guard lk(keys_mu);
+    keepers.emplace(kd.key.period, std::move(kd));
+  };
+  add_keeper();
+
+  struct Sealed {
+    Bytes ct;
+    std::uint64_t period_before, period_after;
+    std::size_t revoked_before;  // keys whose revoke returned before the seal
+  };
+  // Loose lockstep: round i of the encrypts starts after mutation step i,
+  // and step i waits only until every thread has started round i - 1, so
+  // mutations overlap seals and round i lands in period(step i..i+1).
+  constexpr std::size_t kThreads = 4, kRounds = 12;
+  std::atomic<std::size_t> steps_done{0}, started{0};
+  std::vector<std::vector<Sealed>> sealed(kThreads);
+  const Bytes payload = {7, 7, 7};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kRounds; ++i) {
+        while (steps_done.load() < i) std::this_thread::yield();
+        started.fetch_add(1);
+        Sealed s;
+        s.revoked_before = [&] {
+          std::lock_guard lk(keys_mu);
+          return revoked.size();
+        }();
+        s.period_before = router.status().period;
+        s.ct = router.encrypt(payload, 0);
+        s.period_after = router.status().period;
+        sealed[t].push_back(std::move(s));
+      }
+    });
+  }
+  std::thread mutator([&] {
+    std::uint64_t period = 0;
+    for (std::size_t step = 0; step < kRounds; ++step) {
+      while (started.load() < kThreads * step) std::this_thread::yield();
+      if (step % 4 == 3) {
+        router.new_period_all();
+      } else {
+        const ShardRouter::AddedUser victim = router.add_user();
+        const std::uint64_t id = victim.global_id;
+        router.revoke(std::span(&id, 1));
+        std::lock_guard lk(keys_mu);
+        revoked.push_back(decode_key_file(victim.key_file));
+      }
+      // Saturating revokes roll the period too: every period gets a key.
+      if (const std::uint64_t now = router.status().period; now != period) {
+        period = now;
+        add_keeper();
+      }
+      steps_done.store(step + 1);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  mutator.join();
+
+  const Group& group = keepers.at(0).sp.group;
+  std::set<std::uint64_t> periods_seen;
+  for (const std::vector<Sealed>& per_thread : sealed) {
+    for (const Sealed& s : per_thread) {
+      Reader r(s.ct);
+      const ContentMessage msg = ContentMessage::deserialize(r, group);
+      const std::uint64_t p = msg.kem.period;
+      EXPECT_GE(p, s.period_before);
+      EXPECT_LE(p, s.period_after);
+      periods_seen.insert(p);
+      const KeyFileData& keeper = keepers.at(p);
+      EXPECT_EQ(open_content(keeper.sp, keeper.key, msg), payload);
+      for (std::size_t i = 0; i < s.revoked_before; ++i) {
+        if (revoked[i].key.period != p) continue;
+        EXPECT_THROW(open_content(revoked[i].sp, revoked[i].key, msg), Error);
+      }
+    }
+  }
+  EXPECT_GT(periods_seen.size(), 1u);
+}
+
+TEST(ShardRouter, EncryptDrawsOnlyFromTheShardRng) {
+  // Identical stores and identically seeded shard Rngs: the same sequence
+  // of encrypts (and a mutation between them) yields the same bytes, and
+  // each encrypt gets a fresh stream.
+  const auto encrypts = [](HandlerFixture& f) {
+    const Bytes payload = {1, 2, 3, 4};
+    std::vector<Bytes> cts;
+    cts.push_back(f.router->encrypt(payload, 0));
+    cts.push_back(f.router->encrypt(payload, 0));
+    f.router->add_user();
+    cts.push_back(f.router->encrypt(payload, 0));
+    return cts;
+  };
+  HandlerFixture a, b;
+  const std::vector<Bytes> cts = encrypts(a);
+  EXPECT_EQ(cts, encrypts(b));
+  EXPECT_NE(cts[0], cts[1]);
 }
 
 // ---- replication: follower routers, repl verbs, promotion ---------------------
